@@ -3,13 +3,13 @@
 //! Like [`armada_sm::checkpoint`] for exploration, a product-search wave
 //! boundary is a complete description of progress — but the product state
 //! is richer: the node table (low state, match-set id, parent edge with
-//! its rendered descriptions and machine steps, tid renaming), the
+//! its machine steps and their pre-state pcs, tid renaming), the
 //! interned match sets, the memoized *high-level* arena prefix (match-set
 //! ids index into it, so its interning order must survive a restart), the
 //! depth-bucketed pending queue, and the transition counter. The antichain
-//! seen-set and the set-intern table are *derived* — every entry
-//! corresponds to an admitted node in id order — so they are rebuilt from
-//! the node table on resume rather than persisted.
+//! seen-set and the hash-cons and set-id tables are *derived* — from the
+//! node table and the sets log, in id order — so they are rebuilt on
+//! resume rather than persisted.
 //!
 //! Storage is log-structured with the same crash discipline as the
 //! exploration checkpoint: three append-only logs (`nodes.log`,
@@ -21,16 +21,20 @@
 //! mismatch, dangling index — clears the directory and the search starts
 //! cold, which is always sound.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use armada_sm::codec::{self, Dec, Enc};
-use armada_sm::{ProgState, StateArena, StateId, Tid};
+use armada_sm::{Pc, ProgState, StateArena, StateId, Tid};
 
 use crate::{MatchSet, Node};
+
+/// Node-record layout version, folded into the checkpoint guard. Version 2
+/// records each edge step's pre-state pc instead of its rendered text.
+pub(crate) const FORMAT: u32 = 2;
 
 const MANIFEST: &str = "manifest.bin";
 const NODES_LOG: &str = "nodes.log";
@@ -239,6 +243,11 @@ impl VerifyCheckpoint {
             }
             sets.push(Arc::new(set));
         }
+        // Saved sets are hash-consed, hence distinct; a duplicate would
+        // alias two set ids onto one canonical set on resume.
+        if sets.iter().collect::<HashSet<_>>().len() != set_count {
+            return None;
+        }
 
         let node_records = self.nodes.read(node_count, nodes_bytes)?;
         let mut nodes: Vec<Node> = Vec::with_capacity(node_count);
@@ -258,19 +267,20 @@ impl VerifyCheckpoint {
                     if parent >= i {
                         return None;
                     }
-                    let n = d.len_of().ok()?;
-                    let mut descs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        descs.push(d.str().ok()?);
-                    }
-                    Some((parent, descs))
+                    Some(parent)
                 }
                 _ => return None,
             };
             let n = d.len_of().ok()?;
             let mut edge_steps = Vec::with_capacity(n);
+            let mut edge_pcs = Vec::with_capacity(n);
             for _ in 0..n {
                 edge_steps.push(codec::dec_step(&mut d).ok()?);
+                edge_pcs.push(match d.u8().ok()? {
+                    0 => None,
+                    1 => Some(Pc::new(d.u32().ok()?, d.u32().ok()?)),
+                    _ => return None,
+                });
             }
             let orig = match d.u8().ok()? {
                 0 => None,
@@ -294,6 +304,7 @@ impl VerifyCheckpoint {
                 depth,
                 parent,
                 edge_steps,
+                edge_pcs,
                 orig,
             });
         }
@@ -318,13 +329,13 @@ impl VerifyCheckpoint {
     }
 
     /// Persists the wave boundary: appends new nodes, high states, and
-    /// match sets to their logs, syncs them, then atomically rewrites the
-    /// manifest. `high_arena` access is faulting (`&mut`) because the high
-    /// side may itself be spilled.
+    /// match sets (`sets`, indexed by set id) to their logs, syncs them,
+    /// then atomically rewrites the manifest. `high_arena` access is
+    /// faulting (`&mut`) because the high side may itself be spilled.
     pub fn save(
         &mut self,
         nodes: &[Node],
-        set_intern: &HashMap<MatchSet, u32>,
+        sets: &[MatchSet],
         high_arena: &mut StateArena,
         pending: &BTreeMap<usize, Vec<usize>>,
         low_transitions: usize,
@@ -336,20 +347,24 @@ impl VerifyCheckpoint {
             e.bytes(&codec::state_to_bytes(&node.low));
             e.u32(node.set_id);
             e.len_of(node.depth);
-            match &node.parent {
+            match node.parent {
                 None => e.u8(0),
-                Some((parent, descs)) => {
+                Some(parent) => {
                     e.u8(1);
-                    e.len_of(*parent);
-                    e.len_of(descs.len());
-                    for desc in descs {
-                        e.str(desc);
-                    }
+                    e.len_of(parent);
                 }
             }
             e.len_of(node.edge_steps.len());
-            for step in &node.edge_steps {
+            for (step, pc) in node.edge_steps.iter().zip(&node.edge_pcs) {
                 codec::enc_step(&mut e, step);
+                match pc {
+                    None => e.u8(0),
+                    Some(pc) => {
+                        e.u8(1);
+                        e.u32(pc.routine);
+                        e.u32(pc.instr);
+                    }
+                }
             }
             match &node.orig {
                 None => e.u8(0),
@@ -372,15 +387,8 @@ impl VerifyCheckpoint {
         }
         self.high.append(&records);
 
-        // Sets in id order: the intern map is keyed by set, so invert it
-        // for the new dense suffix.
-        let mut by_id: Vec<Option<&MatchSet>> = vec![None; set_intern.len()];
-        for (set, &id) in set_intern {
-            by_id[id as usize] = Some(set);
-        }
         let mut records = Vec::new();
-        for slot in &by_id[self.sets.saved..] {
-            let set = slot.expect("set ids are dense");
+        for set in &sets[self.sets.saved..] {
             let mut e = Enc::new();
             e.len_of(set.len());
             for id in set.iter() {
@@ -410,5 +418,33 @@ impl VerifyCheckpoint {
         e.len_of(wave_index);
         codec::write_atomic(&self.manifest_path(), &e.into_bytes())
             .unwrap_or_else(|err| panic!("checkpoint: writing manifest: {err}"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_checkpoint_with_duplicate_match_sets_starts_cold() {
+        let dir = std::env::temp_dir().join(format!("armada-verify-ck-dup-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let empty: MatchSet = Arc::new(BTreeSet::new());
+        for (sets, resumes) in [
+            (vec![Arc::clone(&empty)], true),
+            (vec![Arc::clone(&empty), Arc::new(BTreeSet::new())], false),
+        ] {
+            let mut ck = VerifyCheckpoint::new(dir.clone(), 7).expect("checkpoint dir");
+            ck.clear();
+            ck.save(&[], &sets, &mut StateArena::new(), &BTreeMap::new(), 0, 0);
+            let mut reopened = VerifyCheckpoint::new(dir.clone(), 7).expect("checkpoint dir");
+            assert_eq!(
+                reopened.try_resume().is_some(),
+                resumes,
+                "{} sets",
+                sets.len()
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -39,6 +39,21 @@
 //! remain the shortest possible. The high side is never reduced: its step
 //! counting feeds the `max_match` stutter budget.
 //!
+//! ## Match-set identity
+//!
+//! A match set can hold thousands of high ids while a check produces only a
+//! handful of distinct sets, so a set's identity is its `Arc`, not its
+//! contents. Sets are computed only on an expand-cache miss — one
+//! multi-source BFS over the whole parent set, the relation evaluated once
+//! per distinct candidate — and hash-consed right there, under the cache's
+//! lock: the new set is looked up by content and the existing `Arc`
+//! returned, so equal contents always mean [`Arc::ptr_eq`]. Everything
+//! downstream compares pointers: commit keys set ids by `Arc` address, and
+//! subsumption walks contents only between two *different* sets. Which
+//! worker computes a set first depends on scheduling, but ids are handed
+//! out serially as sets first reach commit in global wave order, so they
+//! stay deterministic, and so do the checkpoint and every output.
+//!
 //! ## Parallel search
 //!
 //! With [`Bounds::jobs`] > 1 the product search runs multi-core, and the
@@ -56,8 +71,9 @@
 //! fingerprint across `jobs * 4` antichain shards — each shard scans its
 //! successors in global wave order, so decisions match the serial scan
 //! exactly (a state's antichain entries all live in its own shard) — then a
-//! cheap serial merge assigns match-set ids and node ids, applies the
-//! `max_nodes` budget, and admits successors in the same global order.
+//! cheap serial merge assigns match-set ids (by pointer) and node ids,
+//! applies the `max_nodes` budget, and admits successors in the same global
+//! order.
 //! Counterexample selection is deterministic by construction: all failures
 //! surface in the first failing wave (so the trace is the minimal
 //! micro-length), and the lexicographically-least trace wins regardless of
@@ -67,7 +83,8 @@ mod checkpoint;
 pub mod store;
 pub mod tier;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,8 +97,8 @@ use armada_runtime::ring::{ring, Backoff};
 use armada_runtime::telemetry::{Stage, StageTelemetry};
 use armada_sm::arena::FpIdentityHasher;
 use armada_sm::{
-    initial_state, Bounds, Canonicalizer, ProgState, Program, Reducer, StateArena, StateId, Step,
-    StepKind, Termination, Tid, Value,
+    initial_state, Bounds, Canonicalizer, Pc, ProgState, Program, Reducer, StateArena, StateId,
+    Step, StepKind, Termination, Tid, Value,
 };
 
 /// Deterministic in-search fault injection (fuzzing only; the default
@@ -249,26 +266,47 @@ impl std::fmt::Display for Counterexample {
     }
 }
 
-/// Renders one step. `display_tid` is the tid to *print* — under symmetry
-/// it is the original tid recovered through the node's inverse renaming,
-/// while `step.tid` addresses the canonical state the step executes in.
-fn describe_step(program: &Program, state: &ProgState, step: &Step, display_tid: Tid) -> String {
+/// Renders one recorded step. `step.tid` is already the tid to *print* —
+/// under symmetry, the original tid recovered through the node's inverse
+/// renaming — and `pc` is the acting thread's pc in the pre-state (see
+/// [`step_pc`]).
+fn describe_step(program: &Program, step: &Step, pc: Option<Pc>) -> String {
+    let tid = step.tid;
     match &step.kind {
-        StepKind::Drain => format!("t{display_tid} drains one buffered write"),
+        StepKind::Drain => format!("t{tid} drains one buffered write"),
         StepKind::Instr { nondets } => {
-            let instr = state
-                .thread(step.tid)
-                .and_then(|t| program.instr_at(t.pc))
+            let instr = pc
+                .and_then(|pc| program.instr_at(pc))
                 .map(|i| i.describe())
                 .unwrap_or_else(|| "<no instruction>".to_string());
             if nondets.is_empty() {
-                format!("t{display_tid}: {instr}")
+                format!("t{tid}: {instr}")
             } else {
                 let values: Vec<String> = nondets.iter().map(|v| v.to_string()).collect();
-                format!("t{display_tid}: {instr}  [nondet {}]", values.join(", "))
+                format!("t{tid}: {instr}  [nondet {}]", values.join(", "))
             }
         }
     }
+}
+
+/// What [`describe_step`] needs of a step's pre-state: the acting thread's
+/// pc for an instruction step, nothing for a drain. Recording this instead
+/// of the rendered string keeps formatting off the search path — only
+/// counterexample, budget and deadline traces are ever rendered.
+fn step_pc(state: &ProgState, step: &Step) -> Option<Pc> {
+    match step.kind {
+        StepKind::Drain => None,
+        StepKind::Instr { .. } => state.thread(step.tid).map(|t| t.pc),
+    }
+}
+
+/// Renders an edge's recorded steps, one description per micro-step.
+fn describe_edge(program: &Program, steps: &[Step], pcs: &[Option<Pc>]) -> Vec<String> {
+    steps
+        .iter()
+        .zip(pcs)
+        .map(|(step, &pc)| describe_step(program, step, pc))
+        .collect()
 }
 
 /// Composes a parent's canonical→original tid map with the inverse renaming
@@ -313,11 +351,132 @@ fn compose_orig(
 type Obs = (Vec<Value>, Termination);
 
 /// A computed match set: the interned high-state ids related to a low state.
+/// Hash-consed by [`ExpandCache::intern`], so within one check equal
+/// contents always mean the same `Arc`.
 type MatchSet = Arc<BTreeSet<u32>>;
 
+/// Test-only count of full-content match-set operations on this thread:
+/// content hashes in the hash-cons table and subset walks between distinct
+/// sets. Pointer identity makes every other comparison O(1); the
+/// `match_sets_are_compared_by_pointer` test pins that down as a count.
+#[cfg(test)]
+mod content_ops {
+    use std::cell::Cell;
+
+    thread_local! {
+        pub static HASHES: Cell<usize> = const { Cell::new(0) };
+        pub static WALKS: Cell<usize> = const { Cell::new(0) };
+        pub static MISSES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub fn bump(counter: &'static std::thread::LocalKey<Cell<usize>>) {
+        counter.with(|c| c.set(c.get() + 1));
+    }
+
+    /// `(hashes, walks, expand-cache misses)` since the last call.
+    pub fn take() -> (usize, usize, usize) {
+        (HASHES.take(), WALKS.take(), MISSES.take())
+    }
+}
+
+/// Records one test-only event (see [`content_ops`]); compiles to nothing
+/// outside tests.
+macro_rules! count_op {
+    ($counter:ident) => {
+        #[cfg(test)]
+        content_ops::bump(&content_ops::$counter);
+    };
+}
+
+/// The expand cache and the match-set hash-cons table, behind one mutex.
+#[derive(Default)]
+struct ExpandCache {
+    /// (match-set id, observables) → the successor's match set, `None` for
+    /// a refinement failure. Every supported refinement relation is a
+    /// function of a state's observables, so this memo is exact.
+    by_key: HashMap<(u32, Obs), Option<MatchSet>>,
+    /// Every match set of the check, keyed by content (the unit value is
+    /// unused: a map rather than a set for the one-hash `entry` API).
+    sets: HashMap<MatchSet, ()>,
+}
+
+impl ExpandCache {
+    /// Records a miss's computed match set under `key`, hash-consed.
+    fn insert(&mut self, key: (u32, Obs), computed: Option<BTreeSet<u32>>) -> Option<MatchSet> {
+        count_op!(MISSES);
+        let computed = computed.map(|set| self.intern(Arc::new(set)));
+        self.by_key.insert(key, computed.clone());
+        computed
+    }
+
+    /// The canonical `Arc` for `set`'s contents: the one already in the
+    /// table, or `set` itself, which becomes canonical. The only place a
+    /// match set is hashed by content: once per expand-cache miss, plus
+    /// the root set.
+    fn intern(&mut self, set: MatchSet) -> MatchSet {
+        count_op!(HASHES);
+        match self.sets.entry(set) {
+            Entry::Occupied(existing) => Arc::clone(existing.key()),
+            Entry::Vacant(slot) => {
+                let set = Arc::clone(slot.key());
+                slot.insert(());
+                set
+            }
+        }
+    }
+}
+
+/// Serial match-set ids for the commit phase, keyed by `Arc` address.
+/// Hash-consing makes the address a content identity, and `sets` holds
+/// every keyed `Arc`, so no address is reused while it is a key. Ids are
+/// handed out in commit (global wave) order, so they are deterministic at
+/// any job count.
+#[derive(Default)]
+struct SetIds {
+    ids: HashMap<usize, u32>,
+    /// The sets by id.
+    sets: Vec<MatchSet>,
+}
+
+impl SetIds {
+    fn id_of(&mut self, set: &MatchSet) -> u32 {
+        let next = self.sets.len() as u32;
+        *self
+            .ids
+            .entry(Arc::as_ptr(set) as usize)
+            .or_insert_with(|| {
+                self.sets.push(Arc::clone(set));
+                next
+            })
+    }
+}
+
+/// Whether some admitted match set is a subset of `new`. Sets are
+/// hash-consed, so every admitted set is first checked for being the same
+/// `Arc`, and contents are walked only between two different sets.
+fn subsumed_by(admitted: &[MatchSet], new: &MatchSet) -> bool {
+    admitted.iter().any(|set| Arc::ptr_eq(set, new))
+        || admitted.iter().any(|set| {
+            count_op!(WALKS);
+            set.is_subset(new)
+        })
+}
+
+/// The interned high states among `candidates` that relate to `low`.
+fn related(
+    candidates: &[(u32, Arc<ProgState>)],
+    low: &ProgState,
+    relation: &(dyn RefinementRelation + Sync),
+) -> BTreeSet<u32> {
+    candidates
+        .iter()
+        .filter(|(_, state)| relation.relates(low, state))
+        .map(|(id, _)| *id)
+        .collect()
+}
+
 /// Memoized high-level state graph — an interned [`StateArena`] plus
-/// successor lists and stutter closures — shared across workers behind one
-/// mutex.
+/// successor lists — shared across workers behind one mutex.
 ///
 /// The numeric ids depend on interning order and so can differ between runs
 /// when jobs > 1, but they are injective handles used only for set
@@ -330,7 +489,6 @@ struct HighGraph<'a> {
     max_match: usize,
     arena: StateArena,
     successors: Vec<Option<Vec<u32>>>,
-    closures: Vec<Option<Arc<Vec<(u32, Arc<ProgState>)>>>>,
 }
 
 impl<'a> HighGraph<'a> {
@@ -342,14 +500,13 @@ impl<'a> HighGraph<'a> {
             max_match,
             arena: StateArena::new(),
             successors: Vec::new(),
-            closures: Vec::new(),
         }
     }
 
     /// Spills the high-state arena under `spec`'s byte budget
     /// (`--mem-cap`): cold pages of interned high states evict to disk and
-    /// fault back on demand. Successor/closure memos stay resident — they
-    /// hold the ids; only the state trees page.
+    /// fault back on demand. Successor memos stay resident — they hold the
+    /// ids; only the state trees page.
     fn enable_spill(&mut self, spec: armada_sm::SpillSpec) -> std::io::Result<()> {
         self.arena.enable_spill(spec)
     }
@@ -358,55 +515,49 @@ impl<'a> HighGraph<'a> {
         let (id, fresh) = self.arena.intern(state);
         if fresh {
             self.successors.push(None);
-            self.closures.push(None);
         }
         id.0
     }
 
-    fn successors_of(&mut self, id: u32) -> Vec<u32> {
-        if let Some(cached) = &self.successors[id as usize] {
-            return cached.clone();
+    fn successors_of(&mut self, id: u32) -> &[u32] {
+        if self.successors[id as usize].is_none() {
+            // The high side is never fused: the stutter closure counts
+            // *individual* high steps against the `max_match` budget, and a
+            // macro edge would smuggle several steps past it.
+            let state = self.arena.get_arc_mut(StateId(id));
+            let ids: Vec<u32> =
+                armada_sm::enabled_steps(self.program, &state, &self.pool, self.max_buffer)
+                    .into_iter()
+                    .map(|(_, s)| self.intern_state(s))
+                    .collect();
+            self.successors[id as usize] = Some(ids);
         }
-        // The high side is never fused: `closure_of` counts *individual*
-        // high steps against the `max_match` stutter budget, and a macro
-        // edge would smuggle several steps past it.
-        let state = self.arena.get_arc_mut(StateId(id));
-        let ids: Vec<u32> =
-            armada_sm::enabled_steps(self.program, &state, &self.pool, self.max_buffer)
-                .into_iter()
-                .map(|(_, s)| self.intern_state(s))
-                .collect();
-        self.successors[id as usize] = Some(ids.clone());
-        ids
+        self.successors[id as usize]
+            .as_deref()
+            .expect("just memoized")
     }
 
-    /// The stutter closure of an interned high state: all states reachable
-    /// within `max_match` steps, paired with their ids.
-    fn closure_of(&mut self, id: u32) -> Arc<Vec<(u32, Arc<ProgState>)>> {
-        if let Some(cached) = &self.closures[id as usize] {
-            return Arc::clone(cached);
-        }
-        let mut seen: BTreeSet<u32> = BTreeSet::new();
-        let mut frontier = VecDeque::new();
-        seen.insert(id);
-        frontier.push_back((id, 0usize));
-        while let Some((current, depth)) = frontier.pop_front() {
-            if depth >= self.max_match {
-                continue;
-            }
-            for next in self.successors_of(current) {
-                if seen.insert(next) {
-                    frontier.push_back((next, depth + 1));
+    /// The stutter closure of a match set: every state within `max_match`
+    /// steps of some member, paired with its id, in id order. One
+    /// multi-source BFS, so it is exactly the union of the members'
+    /// single-source closures while visiting each state once.
+    fn stutter_closure(&mut self, sources: &BTreeSet<u32>) -> Vec<(u32, Arc<ProgState>)> {
+        let mut seen = sources.clone();
+        let mut frontier: Vec<u32> = sources.iter().copied().collect();
+        for _ in 0..self.max_match {
+            let mut next = Vec::new();
+            for id in frontier {
+                for &succ in self.successors_of(id) {
+                    if seen.insert(succ) {
+                        next.push(succ);
+                    }
                 }
             }
+            frontier = next;
         }
-        let result = Arc::new(
-            seen.into_iter()
-                .map(|h| (h, self.arena.get_arc_mut(StateId(h))))
-                .collect::<Vec<_>>(),
-        );
-        self.closures[id as usize] = Some(Arc::clone(&result));
-        result
+        seen.into_iter()
+            .map(|h| (h, self.arena.get_arc_mut(StateId(h))))
+            .collect()
     }
 }
 
@@ -418,30 +569,17 @@ fn expand_matches(
     low_next: &ProgState,
     relation: &(dyn RefinementRelation + Sync),
     high: &Mutex<HighGraph<'_>>,
-) -> Option<MatchSet> {
-    let mut new_matches: BTreeSet<u32> = BTreeSet::new();
-    for &high_id in parent_matches {
-        // Poison-tolerant: a panic caught in one wave slot must not cascade
-        // into poison panics in the others (that would make which slot
-        // "fails first" depend on worker scheduling).
-        let closure = high
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .closure_of(high_id);
-        for (candidate, candidate_state) in closure.iter() {
-            if new_matches.contains(candidate) {
-                continue;
-            }
-            if relation.relates(low_next, candidate_state) {
-                new_matches.insert(*candidate);
-            }
-        }
-    }
-    if new_matches.is_empty() {
-        None
-    } else {
-        Some(Arc::new(new_matches))
-    }
+) -> Option<BTreeSet<u32>> {
+    // Poison-tolerant: a panic caught in one wave slot must not cascade
+    // into poison panics in the others (that would make which slot "fails
+    // first" depend on worker scheduling). The relation runs outside the
+    // lock.
+    let candidates = high
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .stutter_closure(parent_matches);
+    let matches = related(&candidates, low_next, relation);
+    (!matches.is_empty()).then_some(matches)
 }
 
 /// One product node of the subset construction.
@@ -455,12 +593,14 @@ struct Node {
     /// processed in micro-depth order so failure traces are minimal-length
     /// with or without fusion.
     depth: usize,
-    /// Parent node index and the (possibly fused) low-step descriptions
-    /// that reached us, in execution order.
-    parent: Option<(usize, Vec<String>)>,
-    /// The machine-readable steps behind `parent`'s descriptions, already
-    /// translated to original (pre-canonicalization) tids.
+    /// Parent node index.
+    parent: Option<usize>,
+    /// The (possibly fused) low steps that reached us from `parent`, in
+    /// execution order, already translated to original
+    /// (pre-canonicalization) tids.
     edge_steps: Vec<Step>,
+    /// Each edge step's pre-state pc ([`step_pc`]), for rendering traces.
+    edge_pcs: Vec<Option<Pc>>,
     /// Canonical→original tid map for `low` (index = canonical tid − 1);
     /// `None` is the identity. Composed along the path so every recorded
     /// step can name the tid an uncanonicalized run would use.
@@ -469,10 +609,11 @@ struct Node {
 
 /// One expanded successor of a wave node, produced by a worker.
 struct SuccOut {
-    /// Per-micro-step descriptions of the (possibly fused) edge.
-    descs: Vec<String>,
-    /// The steps behind `descs`, translated to original tids.
+    /// The micro-steps of the (possibly fused) edge, translated to
+    /// original tids.
     steps: Vec<Step>,
+    /// Each step's pre-state pc ([`step_pc`]).
+    pcs: Vec<Option<Pc>>,
     /// Canonical→original tid map for `next` (see `Node::orig`).
     orig: Option<Arc<Vec<Tid>>>,
     /// Precomputed fingerprint of `next`, for the sharded seen-set.
@@ -486,14 +627,13 @@ struct SuccOut {
 /// Shared read-only context for expanding product nodes; everything a
 /// pipeline explore worker needs besides the node itself.
 struct ExpandCtx<'e, 'p> {
-    low: &'p Program,
     canon: Option<&'e Canonicalizer>,
     reducer: &'e Reducer<'p>,
     pool: &'e [Value],
     bounds: &'e Bounds,
     relation: &'e (dyn RefinementRelation + Sync),
     high: &'e Mutex<HighGraph<'p>>,
-    cache: &'e Mutex<HashMap<(u32, Obs), Option<MatchSet>>>,
+    cache: &'e Mutex<ExpandCache>,
 }
 
 /// Expands one product node: enumerates its (possibly fused) low edges and
@@ -519,20 +659,20 @@ fn expand_node(
         )
         .into_iter()
         .map(|(macro_step, low_next)| {
-            // Steps execute in the (canonical) parent's coordinates;
-            // descriptions and the recorded step sequence use original
-            // tids so counterexamples replay against the uncanonicalized
-            // program. Every step of a macro edge runs a thread that
-            // already exists in the parent, so the parent's map covers it.
+            // Steps execute in the (canonical) parent's coordinates; the
+            // recorded step sequence uses original tids so counterexamples
+            // replay against the uncanonicalized program. Every step of a
+            // macro edge runs a thread that already exists in the parent,
+            // so the parent's map covers it.
             let display = |tid: Tid| match orig {
                 Some(map) => map.get(tid as usize - 1).copied().unwrap_or(tid),
                 None => tid,
             };
-            let mut descs = Vec::with_capacity(macro_step.steps.len());
+            let mut pcs = Vec::with_capacity(macro_step.steps.len());
             let mut steps = Vec::with_capacity(macro_step.steps.len());
             let mut pre: &ProgState = low_state;
             for (i, step) in macro_step.steps.iter().enumerate() {
-                descs.push(describe_step(ctx.low, pre, step, display(step.tid)));
+                pcs.push(step_pc(pre, step));
                 steps.push(Step {
                     tid: display(step.tid),
                     kind: step.kind.clone(),
@@ -552,6 +692,7 @@ fn expand_node(
                 .cache
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .by_key
                 .get(&key)
                 .cloned();
             let matches = match cached {
@@ -561,13 +702,12 @@ fn expand_node(
                     ctx.cache
                         .lock()
                         .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .insert(key, computed.clone());
-                    computed
+                        .insert(key, computed)
                 }
             };
             SuccOut {
-                descs,
                 steps,
+                pcs,
                 orig,
                 fp: StateArena::fingerprint(&low_next),
                 next: Arc::new(low_next),
@@ -708,7 +848,7 @@ fn sharded_subsumption(flat: &[(usize, SuccOut)], seen: &LowSeen, jobs: usize) -
             let bucket = shard.entry(succ.fp).or_default();
             match bucket.iter_mut().find(|(s, _)| **s == *succ.next) {
                 Some((_, sets)) => {
-                    if sets.iter().any(|admitted| admitted.is_subset(matches)) {
+                    if subsumed_by(sets, matches) {
                         subsumed.push(i);
                     } else {
                         sets.push(Arc::clone(matches));
@@ -847,11 +987,13 @@ fn check_refinement_impl(
     // determines the product graph — programs, relation, semantic bounds,
     // the stutter budget — and excludes jobs, deadlines, node budgets, and
     // faults, so a resumed run may raise its budget or change its worker
-    // count and still continue.
+    // count and still continue. The leading record-format version makes a
+    // checkpoint written in an older node layout start cold.
     let mut ck = config.bounds.checkpoint.as_ref().map(|spec| {
         let guard = armada_sm::codec::fnv1a_64(
             format!(
-                "{}|{}|{}|{:?}|{}|{}|{}|{}",
+                "{}|{}|{}|{}|{:?}|{}|{}|{}|{}",
+                checkpoint::FORMAT,
                 low.name,
                 high.name,
                 relation.describe(),
@@ -875,14 +1017,14 @@ fn check_refinement_impl(
     // Product search, one micro-depth bucket at a time. Parent pointers
     // give counterexample traces; antichain subsumption prunes nodes whose
     // match set is a superset of an admitted one (fewer matches is the
-    // strictly harder obligation). Match sets are interned, and — because
-    // every supported refinement relation is a function of a state's
-    // *observables* — the expansion of a match set against a low successor
-    // is memoized per (match-set, observables) pair. Stuttering low steps
-    // (no log change) therefore hit the cache almost always.
-    let expand_cache: Mutex<HashMap<(u32, Obs), Option<MatchSet>>> = Mutex::new(HashMap::new());
+    // strictly harder obligation). Match sets are hash-consed, and —
+    // because every supported refinement relation is a function of a
+    // state's *observables* — the expansion of a match set against a low
+    // successor is memoized per (match-set, observables) pair. Stuttering
+    // low steps (no log change) therefore hit the cache almost always.
+    let mut expand_cache = ExpandCache::default();
     let reducer = Reducer::new(low);
-    let mut set_intern: HashMap<Arc<BTreeSet<u32>>, u32> = HashMap::new();
+    let mut set_ids = SetIds::default();
     let mut nodes: Vec<Node> = Vec::new();
     let seen_low = LowSeen::new(jobs * 4);
     let mut pending: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -891,14 +1033,16 @@ fn check_refinement_impl(
 
     if let Some(rs) = resumed {
         // Rebuild the memoized high arena in its original interning order
-        // (match-set ids index into it); successor and closure memos
-        // recompute on demand and re-intern onto the same ids. The
-        // seen-set and set-intern table replay from the node table.
+        // (match-set ids index into it); successor memos recompute on
+        // demand and re-intern onto the same ids. The loaded sets are
+        // distinct and are the `Arc`s the nodes hold, so they become the
+        // canonical sets and get back their ids in order. The seen-set
+        // replays from the node table.
         for state in rs.high_states {
             high_graph.intern_state(state);
         }
-        for (id, set) in rs.sets.iter().enumerate() {
-            set_intern.insert(Arc::clone(set), id as u32);
+        for set in &rs.sets {
+            set_ids.id_of(&expand_cache.intern(Arc::clone(set)));
         }
         for node in &rs.nodes {
             seen_low.rehydrate(StateArena::fingerprint(&node.low), &node.low, &node.matches);
@@ -908,13 +1052,8 @@ fn check_refinement_impl(
         low_transitions = rs.low_transitions;
         wave_index = rs.wave_index;
     } else {
-        let high_root = high_graph.intern_state(high_init);
-        let init_matches: BTreeSet<u32> = high_graph
-            .closure_of(high_root)
-            .iter()
-            .filter(|(_, s)| relation.relates(&low_init, s))
-            .map(|(h, _)| *h)
-            .collect();
+        let high_root = BTreeSet::from([high_graph.intern_state(high_init)]);
+        let init_matches = related(&high_graph.stutter_closure(&high_root), &low_init, relation);
         if init_matches.is_empty() {
             return Err(Box::new(Counterexample {
                 kind: CexKind::Refinement,
@@ -925,8 +1064,8 @@ fn check_refinement_impl(
             }));
         }
         let low_init = Arc::new(low_init);
-        let init_matches = Arc::new(init_matches);
-        set_intern.insert(Arc::clone(&init_matches), 0);
+        let init_matches = expand_cache.intern(Arc::new(init_matches));
+        set_ids.id_of(&init_matches);
         seen_low.admit(
             StateArena::fingerprint(&low_init),
             Arc::clone(&low_init),
@@ -939,6 +1078,7 @@ fn check_refinement_impl(
             depth: 0,
             parent: None,
             edge_steps: vec![],
+            edge_pcs: vec![],
             orig: root_orig,
         });
         // Pending node ids, bucketed by micro-depth; the next wave is
@@ -947,9 +1087,9 @@ fn check_refinement_impl(
         pending.insert(0, vec![0]);
     }
     let high_graph = Mutex::new(high_graph);
+    let expand_cache = Mutex::new(expand_cache);
 
     let ctx = ExpandCtx {
-        low,
         canon,
         reducer: &reducer,
         pool: &pool,
@@ -988,7 +1128,7 @@ fn check_refinement_impl(
             config,
             jobs,
             &mut nodes,
-            &mut set_intern,
+            &mut set_ids,
             &seen_low,
             &mut pending,
             &mut expander,
@@ -1100,7 +1240,7 @@ fn check_refinement_impl(
                 config,
                 jobs,
                 &mut nodes,
-                &mut set_intern,
+                &mut set_ids,
                 &seen_low,
                 &mut pending,
                 &mut expander,
@@ -1171,7 +1311,7 @@ enum SearchOutcome {
 
 /// The wave loop of the product search, generic over how a wave is
 /// expanded (inline, or dispatched to the pipeline's explore workers).
-/// Everything order-sensitive — subsumption, match-set interning, node
+/// Everything order-sensitive — subsumption, match-set ids, node
 /// admission, budget cuts, counterexample selection — happens here, on
 /// one thread, in global wave order.
 #[allow(clippy::too_many_arguments)]
@@ -1181,7 +1321,7 @@ fn run_search(
     config: &SimConfig,
     jobs: usize,
     nodes: &mut Vec<Node>,
-    set_intern: &mut HashMap<Arc<BTreeSet<u32>>, u32>,
+    set_ids: &mut SetIds,
     seen_low: &LowSeen,
     pending: &mut BTreeMap<usize, Vec<usize>>,
     expander: &mut dyn FnMut(
@@ -1197,20 +1337,26 @@ fn run_search(
     mut low_transitions: usize,
     mut wave_index: usize,
 ) -> SearchOutcome {
+    // Traces are rendered only here, for the one path a failure reports.
     let trace_of = |nodes: &[Node], mut node: usize| {
         let mut rev: Vec<String> = Vec::new();
-        while let Some((parent, descs)) = &nodes[node].parent {
-            rev.extend(descs.iter().rev().cloned());
-            node = *parent;
+        while let Some(parent) = nodes[node].parent {
+            let edge = &nodes[node];
+            rev.extend(
+                describe_edge(low, &edge.edge_steps, &edge.edge_pcs)
+                    .into_iter()
+                    .rev(),
+            );
+            node = parent;
         }
         rev.reverse();
         rev
     };
     let steps_of = |nodes: &[Node], mut node: usize| {
         let mut rev: Vec<Step> = Vec::new();
-        while let Some((parent, _)) = &nodes[node].parent {
+        while let Some(parent) = nodes[node].parent {
             rev.extend(nodes[node].edge_steps.iter().rev().cloned());
-            node = *parent;
+            node = parent;
         }
         rev.reverse();
         rev
@@ -1227,7 +1373,7 @@ fn run_search(
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             ck.save(
                 nodes,
-                set_intern,
+                &set_ids.sets,
                 &mut hg.arena,
                 pending,
                 low_transitions,
@@ -1298,19 +1444,21 @@ fn run_search(
         // Commit phase B (serial merge): collect refinement failures,
         // apply the node budget, and admit successors in global wave
         // order — set ids, node ids, and the budget cut point are all
-        // deterministic.
+        // deterministic. Set ids are keyed by the hash-consed `Arc`, so no
+        // set is hashed by content here.
         let commit_started = record.then(Instant::now);
         let nodes_before = nodes.len();
         let mut failures: Vec<(Vec<String>, String, Arc<ProgState>, Vec<Step>)> = Vec::new();
         let mut budget_failure: Option<Box<Counterexample>> = None;
         for (i, (node_id, succ)) in flat.into_iter().enumerate() {
-            low_transitions += succ.descs.len();
+            low_transitions += succ.steps.len();
             let Some(new_matches) = succ.matches else {
+                let descs = describe_edge(low, &succ.steps, &succ.pcs);
                 let mut trace = trace_of(nodes, node_id);
-                trace.extend(succ.descs.iter().cloned());
+                trace.extend(descs.iter().cloned());
                 let mut steps = steps_of(nodes, node_id);
-                steps.extend(succ.steps.iter().cloned());
-                let desc = succ.descs.last().cloned().unwrap_or_default();
+                steps.extend(succ.steps);
+                let desc = descs.last().cloned().unwrap_or_default();
                 failures.push((trace, desc, succ.next, steps));
                 continue;
             };
@@ -1333,23 +1481,17 @@ fn run_search(
                 }));
                 continue;
             }
-            let set_id = match set_intern.get(&new_matches) {
-                Some(&id) => id,
-                None => {
-                    let id = set_intern.len() as u32;
-                    set_intern.insert(Arc::clone(&new_matches), id);
-                    id
-                }
-            };
+            let set_id = set_ids.id_of(&new_matches);
             let id = nodes.len();
-            let depth = nodes[node_id].depth + succ.descs.len();
+            let depth = nodes[node_id].depth + succ.steps.len();
             nodes.push(Node {
                 low: succ.next,
                 set_id,
                 matches: new_matches,
                 depth,
-                parent: Some((node_id, succ.descs)),
+                parent: Some(node_id),
                 edge_steps: succ.steps,
+                edge_pcs: succ.pcs,
                 orig: succ.orig,
             });
             pending.entry(depth).or_default().push(id);
@@ -1452,14 +1594,14 @@ fn emit_witness(
     let mut max_depth = 0u64;
     for node in &nodes[1..] {
         max_depth = max_depth.max(node.depth as u64);
-        let (parent_id, _) = node.parent.as_ref().expect("non-root node has a parent");
+        let parent_id = node.parent.expect("non-root node has a parent");
         // `edge_steps` was translated to original tids for counterexample
         // replay; the witness wants the steps in the *parent's canonical
         // coordinates* (what `try_step` executes during recheck), so undo
         // the parent's canonical→original map. Every step of a macro edge
         // runs a thread that already exists in the parent, so the map is
         // total over the edge and position search inverts it exactly.
-        let parent_map = nodes[*parent_id].orig.as_deref();
+        let parent_map = nodes[parent_id].orig.as_deref();
         let raw_steps: Vec<Step> = node
             .edge_steps
             .iter()
@@ -1476,7 +1618,7 @@ fn emit_witness(
             })
             .collect();
         builder.push_node(
-            *parent_id as u32,
+            parent_id as u32,
             StateArena::fingerprint(&node.low),
             set_digest_of(node, &mut hg),
             armada_recheck::encode_steps(&raw_steps),
@@ -2159,6 +2301,59 @@ mod tests {
             assert!(report.replayed);
             assert_eq!(report.pairs, cert.product_nodes);
         }
+    }
+
+    /// Queue's model-scale source, cut out of the case-study crate's source
+    /// text (that crate depends on this one, so it cannot be a
+    /// dev-dependency).
+    fn queue_model() -> &'static str {
+        let src = include_str!("../../cases/src/queue.rs");
+        let open = "pub const MODEL: &str = r#\"";
+        let body = &src[src.find(open).expect("queue MODEL") + open.len()..];
+        &body[..body.find("\"#;").expect("end of queue MODEL")]
+    }
+
+    #[test]
+    fn match_sets_are_compared_by_pointer() {
+        // Queue `Weak ⊑ Spec` has ~56k successors whose match sets hold
+        // thousands of high ids each, but only a handful of distinct sets.
+        // Hash-consing must keep full-content set operations to one hash
+        // per expand-cache miss plus the subset walks between *distinct*
+        // admitted sets — tens, not one or two per successor.
+        let (low, high) = programs(queue_model(), "Weak", "Spec");
+        let relation = StandardRelation::log_prefix();
+        content_ops::take();
+        let cert = check_refinement(&low, &high, &relation, &SimConfig::default()).unwrap();
+        let (hashes, walks, misses) = content_ops::take();
+        assert_eq!(cert.product_nodes, 25_548);
+        assert_eq!(cert.low_transitions, 56_384);
+        assert_eq!(
+            hashes,
+            misses + 1,
+            "one content hash per miss, plus the root"
+        );
+        // Every successor's set is either new to its low state or the very
+        // `Arc` already admitted there, so no walk is needed at all.
+        assert_eq!(walks, 0, "subset walks in subsumption");
+        assert!(misses <= 16, "{misses} expand-cache misses");
+    }
+
+    #[test]
+    fn equal_match_sets_share_one_arc_and_one_id() {
+        let obs = || (Vec::new(), Termination::Running);
+        let mut cache = ExpandCache::default();
+        let mut ids = SetIds::default();
+        let a = cache.insert((0, obs()), Some(BTreeSet::from([3, 5, 8])));
+        let b = cache.insert((1, obs()), Some(BTreeSet::from([8, 5, 3])));
+        let c = cache.insert((2, obs()), Some(BTreeSet::from([3, 5])));
+        let (a, b, c) = (a.unwrap(), b.unwrap(), c.unwrap());
+        assert!(Arc::ptr_eq(&a, &b), "equal contents must be one Arc");
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(cache.insert((3, obs()), None), None);
+        assert_eq!(ids.id_of(&a), 0);
+        assert_eq!(ids.id_of(&b), 0, "equal contents must be one set id");
+        assert_eq!(ids.id_of(&c), 1);
+        assert_eq!(ids.sets.len(), 2);
     }
 
     #[test]
